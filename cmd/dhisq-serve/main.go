@@ -138,7 +138,7 @@ func main() {
 		ShotWorkers: *shotWorkers, Seed: *seed,
 		ReplaceStallThreshold: *replaceStall,
 	})
-	srv := &http.Server{Addr: *addr, Handler: newClusterHandler(svc, *placePolicy, *schedPolicy, cl)}
+	srv := newServer(*addr, newClusterHandler(svc, *placePolicy, *schedPolicy, cl))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -165,6 +165,26 @@ func main() {
 	}
 	<-drained
 	svc.Close()
+}
+
+// HTTP timeouts of the daemon's server. A client must finish its request
+// headers within readHeaderTimeout, and an idle keep-alive connection is
+// closed after idleTimeout. There is deliberately no write timeout:
+// ?wait=1 long-polls and /stream responses stay open as long as the job
+// runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the daemon's HTTP server on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // submitRequest is the POST /v1/jobs body. Exactly one of QASM or Bench
@@ -504,16 +524,11 @@ func buildRequest(req submitRequest) (service.Request, error) {
 	default:
 		return service.Request{}, fmt.Errorf("submission needs qasm or bench")
 	}
-	if err := placement.Valid(req.Placement); err != nil {
-		return service.Request{}, err
-	}
-	if err := compiler.ValidSchedule(req.Schedule); err != nil {
-		return service.Request{}, err
-	}
+	// Placement, schedule and collective names are validated at service
+	// admission (Submit, and RouteKey in cluster mode), which rejects an
+	// unknown name with a 400 before any work queues.
 	sreq.Placement = req.Placement
 	sreq.Schedule = req.Schedule
-	// Collective names are validated at service admission (the resolved
-	// name must parse as a network.CollSchedule), same as an invalid Topo.
 	sreq.Collective = req.Collective
 	// Chip count and EPR latency are validated at service admission
 	// (bounds, mapping conflicts) like the collective name.

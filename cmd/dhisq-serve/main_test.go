@@ -346,6 +346,46 @@ func TestSubmitRejectsUnknownPlacement(t *testing.T) {
 	}
 }
 
+// Unknown placement and schedule names are rejected by service admission
+// alone: a 400 from a single shard (Submit) and from a cluster shard
+// (RouteKey runs before any routing decision).
+func TestAdmissionRejectsUnknownPolicyNames(t *testing.T) {
+	single, _ := newTestServer(t)
+	urls, _, _ := testCluster(t, 2, false)
+	for _, req := range []submitRequest{
+		{QASM: ghzQASM, Shots: 5, Placement: "bogus"},
+		{QASM: ghzQASM, Shots: 5, Schedule: "bogus"},
+	} {
+		for _, base := range []string{single.URL, urls[0]} {
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s placement=%q schedule=%q: status %d, want 400",
+					base, req.Placement, req.Schedule, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// The daemon's server bounds header reads and idle keep-alives but never
+// writes: long-polls and NDJSON streams last as long as their job.
+func TestNewServerTimeouts(t *testing.T) {
+	srv := newServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut long-polls and streams", srv.WriteTimeout)
+	}
+}
+
 // ?wait is a real boolean now: wait=0 (and wait=false) must return the
 // current state immediately rather than long-polling — the regression was
 // "any non-empty wait long-polls", so ?wait=0 blocked until completion.

@@ -116,15 +116,8 @@ func main() {
 		must(fmt.Errorf("circuit has unbound parameters %v: supply -bind", ub))
 	}
 
-	must(placement.Valid(*placePolicy))
-	must(compiler.ValidSchedule(*schedPolicy))
-	if *collective != "" {
-		_, err := network.ParseCollSchedule(*collective)
-		must(err)
-	}
-	if *chips < 0 || *eprLatency < 0 {
-		must(fmt.Errorf("-chips and -epr-latency must be non-negative"))
-	}
+	topoKind, err := validateFlags(*topoName, *placePolicy, *schedPolicy, *collective, *chips, *eprLatency)
+	must(err)
 	cfg := machine.DefaultConfig(c.NumQubits)
 	cfg.Seed = *seed
 	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
@@ -139,13 +132,9 @@ func main() {
 		cfg.EPRLatency = sim.Time(*eprLatency)
 		// One communication qubit per chip joins the device; regrow the
 		// controller mesh the same way the service does at admission.
-		if total := cfg.TotalQubits(c.NumQubits); meshW*meshH < total {
-			meshW, meshH = placement.AutoMesh(total)
-			cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-		}
+		meshW, meshH = cfg.Mesh(c.NumQubits)
+		cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
 	}
-	topoKind, err := network.ParseTopology(*topoName)
-	must(err)
 	cfg.Net.Topology = topoKind
 	cfg.Net.LinkSerialization = *linkBW
 	cfg.Net.RouterPorts = *routerPorts
@@ -233,6 +222,32 @@ func parseBind(s string) (map[string]float64, error) {
 	return out, nil
 }
 
+// validateFlags checks the topology, policy and multi-chip flags the
+// in-process run and the -serve submission share, so a bad value fails
+// identically — and before anything runs or travels — on either path. It
+// returns the parsed topology.
+func validateFlags(topo, placePolicy, schedPolicy, collective string, chips int, eprLatency int64) (network.TopologyKind, error) {
+	kind, err := network.ParseTopology(topo)
+	if err != nil {
+		return kind, err
+	}
+	if err := placement.Valid(placePolicy); err != nil {
+		return kind, err
+	}
+	if err := compiler.ValidSchedule(schedPolicy); err != nil {
+		return kind, err
+	}
+	if collective != "" {
+		if _, err := network.ParseCollSchedule(collective); err != nil {
+			return kind, err
+		}
+	}
+	if chips < 0 || eprLatency < 0 {
+		return kind, fmt.Errorf("-chips and -epr-latency must be non-negative")
+	}
+	return kind, nil
+}
+
 // submitRemote is the -serve client mode: POST the circuit to a running
 // dhisq-serve daemon, long-poll the job, and print its histogram. The
 // circuit travels as QASM text or as a benchmark name the daemon rebuilds
@@ -244,24 +259,11 @@ func parseBind(s string) (map[string]float64, error) {
 // invalid -topo or -placement fails here with the parser's own message
 // instead of round-tripping to the daemon for a remote rejection.
 func submitRemote(base, qasmPath, bench string, scale, shots int, seed int64, topo string, linkBW int64, routerPorts int, placePolicy, schedPolicy, collective string, chips int, eprLatency int64, params map[string]float64) error {
-	if topo != "" {
-		if _, err := network.ParseTopology(topo); err != nil {
-			return err
-		}
+	if topo == "" {
+		topo = "mesh"
 	}
-	if err := placement.Valid(placePolicy); err != nil {
+	if _, err := validateFlags(topo, placePolicy, schedPolicy, collective, chips, eprLatency); err != nil {
 		return err
-	}
-	if err := compiler.ValidSchedule(schedPolicy); err != nil {
-		return err
-	}
-	if collective != "" {
-		if _, err := network.ParseCollSchedule(collective); err != nil {
-			return err
-		}
-	}
-	if chips < 0 || eprLatency < 0 {
-		return fmt.Errorf("-chips and -epr-latency must be non-negative")
 	}
 	body := map[string]any{"shots": shots, "seed": seed}
 	if params != nil {

@@ -15,9 +15,10 @@
 // The cache is LRU-bounded and safe for concurrent use. GetOrCompile
 // deduplicates concurrent compilations of the same fingerprint
 // (singleflight): one caller compiles, the rest wait and share the
-// result. machine.Compile/CompileWith route through the process-wide
-// Shared cache, which puts every entry point — the facade's Run/RunShots/
-// Sample, internal/runner, internal/service, and the CLIs — behind it.
+// result. machine.Compile and machine.CompileSkeleton route through the
+// process-wide Shared cache, which puts every entry point — the facade's
+// Run/RunShots/Sample, internal/runner, internal/service, and the CLIs —
+// behind it.
 package artifact
 
 import (
@@ -62,8 +63,11 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // options joined the compiler options — the multi-chip expansion rewrites
 // the circuit and the EPR latency changes emitted waits, so artifacts from
 // different chip configurations must never alias (and replica pools keyed
-// on the fingerprint stay chip-homogeneous).
-const keyVersion = 7
+// on the fingerprint stay chip-homogeneous). v8: the AdvanceBooking bool
+// left the compiler options — the no-advance ablation is the "padded"
+// schedule policy, already hashed by name — so the options section lost
+// one byte and every fingerprint moved.
+const keyVersion = 8
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -178,7 +182,6 @@ func key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(opt.Controllers))
 	wb(opt.InitialBarrier)
 	wi(opt.PipeGuard)
-	wb(opt.AdvanceBooking)
 	// Placement policy: length-prefixed name bytes. "" and "identity"
 	// resolve to the same pass behavior but hash differently — one
 	// redundant compile at most, never an aliased artifact.
@@ -265,7 +268,7 @@ type flight struct {
 const DefaultCapacity = 128
 
 // Shared is the process-wide artifact cache that machine.Compile and
-// machine.CompileWith consult.
+// machine.CompileSkeleton consult.
 var Shared = New(DefaultCapacity)
 
 // New returns a cache bounded to capacity entries (capacity < 1 is

@@ -78,10 +78,6 @@ func TestKeyDiscriminates(t *testing.T) {
 	net.NeighborLatency++
 	check("different link latency", artifact.Key(base.Circuit, nil, net, opt))
 
-	o2 := opt
-	o2.AdvanceBooking = false
-	check("ablation options", artifact.Key(base.Circuit, nil, base.Cfg.Net, o2))
-
 	o3 := opt
 	o3.Durations.TwoQubit++
 	check("different durations", artifact.Key(base.Circuit, nil, base.Cfg.Net, o3))

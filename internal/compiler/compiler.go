@@ -63,22 +63,17 @@ type Options struct {
 	// PipeGuard is the margin (cycles) added when padding the timing point
 	// past the classical pipeline to guarantee violation-free commits.
 	PipeGuard int64
-	// AdvanceBooking enables the Fig. 6 placement: sync instructions slide
-	// backwards over deterministic work so the N-cycle countdown overlaps
-	// useful execution (zero-cycle overhead when slack suffices, §4.2).
-	// When false, every sync sits immediately before its synchronized
-	// instruction with the window fully padded — the QubiC-style scheme the
-	// paper improves on (§2.1.3), kept for the ablation experiment.
-	AdvanceBooking bool
 	// Placement names the placement policy the Place pass applies when no
 	// explicit mapping is given ("" = "identity", the legacy behavior).
 	// Part of the artifact fingerprint: two policies never share a cache
 	// entry even when they happen to compute the same mapping.
 	Placement string
 	// Schedule names the scheduling policy the Schedule pass applies
-	// ("" = "fixed", the legacy directive replay). Part of the artifact
-	// fingerprint, exactly like Placement: two policies never share a
-	// cache entry even when they emit the same programs.
+	// ("" = "fixed", the legacy directive replay with Fig. 6 booking
+	// advance; "padded" is the QubiC-style no-advance scheme of §2.1.3 the
+	// ablation compares against). Part of the artifact fingerprint,
+	// exactly like Placement: two policies never share a cache entry even
+	// when they emit the same programs.
 	Schedule string
 	// Collective enables the collective-aware feed-forward lowering
 	// (collective.go): a consumed remote bit is fetched from its nearest
@@ -115,7 +110,6 @@ func DefaultOptions(root, controllers int) Options {
 		Controllers:    controllers,
 		InitialBarrier: true,
 		PipeGuard:      6,
-		AdvanceBooking: true,
 	}
 }
 

@@ -15,7 +15,11 @@ import (
 // programs, tables, bit owners and stats for every workload × topology
 // cell. When the pipeline and the monolith ever need to diverge
 // intentionally, the monolith is deleted and the golden fixtures take
-// over as the sole byte-level anchor.
+// over as the sole byte-level anchor. advance is the monolith's own
+// booking switch — Fig. 6 advance booking when true, the padded
+// sync-immediately-before scheme when false — which the pipeline spells as
+// the "fixed" and "padded" schedule policies.
+//
 // legacyStream restores the monolith's inline codeword interning on top
 // of the scheduled-stream type (the pipeline interns in Lower instead, so
 // production streams no longer carry the intern map).
@@ -38,7 +42,7 @@ func (s *legacyStream) cwInstrs(e chip.TableEntry) []isa.Instr {
 	return cwTrigger(idx, uint8(e.Port()))
 }
 
-func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Options) (*Compiled, error) {
+func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Options, advance bool) (*Compiled, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,7 +77,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 
 	barrier := func() {
 		for _, s := range streams {
-			s.insertSyncBack(opt.Root, fab.RegionWindow(s.id, opt.Root), opt.AdvanceBooking)
+			s.insertSyncBack(opt.Root, fab.RegionWindow(s.id, opt.Root), advance)
 			st.RegionSyncs++
 		}
 	}
@@ -201,8 +205,8 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			// commit point is identical (= n) on both sides.
 			sa.guard(opt.PipeGuard, 1)
 			sb.guard(opt.PipeGuard, 1)
-			sa.insertSyncBack(cb, n, opt.AdvanceBooking)
-			sb.insertSyncBack(ca, n, opt.AdvanceBooking)
+			sa.insertSyncBack(cb, n, advance)
+			sb.insertSyncBack(ca, n, advance)
 			st.NearbySyncs += 2
 			// The synchronized commit belongs to its sync's window: nothing —
 			// in particular no later sync — may be inserted between them, or

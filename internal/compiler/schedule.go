@@ -89,7 +89,9 @@ func ValidSchedule(name string) error {
 }
 
 // fixedPolicy is the legacy schedule: replay every directive in lowering
-// order, honoring Options.AdvanceBooking for sync placement. Streams are
+// order, advance-booking every sync (Fig. 6: the booking slides backwards
+// over deterministic work so the N-cycle countdown overlaps useful
+// execution, zero-cycle overhead when slack suffices, §4.2). Streams are
 // independent — no directive reads another controller's state — so
 // replaying them one at a time reproduces the monolithic compiler's
 // interleaved emission exactly.
@@ -98,14 +100,13 @@ type fixedPolicy struct{}
 func (fixedPolicy) Name() string { return "fixed" }
 
 func (fixedPolicy) Run(st *State) error {
-	return replayStreams(st, st.Opt.AdvanceBooking)
+	return replayStreams(st, true)
 }
 
-// paddedPolicy replays the directives with advance booking forced off:
-// every sync sits immediately before its synchronized instruction with the
-// window fully padded — the QubiC-style scheme of §2.1.3 as a selectable
-// policy, so the ablation no longer needs a separate option plumbed
-// through every layer.
+// paddedPolicy replays the directives without advance booking: every sync
+// sits immediately before its synchronized instruction with the window
+// fully padded — the QubiC-style scheme of §2.1.3 the paper improves on,
+// and the no-advance leg of the sync-advance ablation.
 type paddedPolicy struct{}
 
 func (paddedPolicy) Name() string { return "padded" }

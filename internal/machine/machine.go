@@ -81,8 +81,8 @@ type Config struct {
 	// not part of the compile fingerprint — lane count changes nothing
 	// about the compiled artifact. 0 or 1 = the unbatched single substrate.
 	ShotLanes int
-	// Artifacts is the compiled-artifact cache Compile/CompileWith/
-	// CompileSkeleton consult (nil = the process-wide artifact.Shared).
+	// Artifacts is the compiled-artifact cache Compile/CompileSkeleton
+	// consult (nil = the process-wide artifact.Shared).
 	// Injecting a private cache isolates cache accounting — the in-process
 	// multi-shard cluster tests give each shard its own cache+store pair.
 	// Deliberately not part of any fingerprint: which cache serves a
@@ -127,6 +127,20 @@ func (cfg Config) TotalQubits(n int) int {
 	return n
 }
 
+// Mesh returns the controller mesh a machine built from cfg runs n data
+// qubits on: cfg.Net's mesh, grown to the near-square mesh for
+// TotalQubits(n) when a multi-chip config's communication qubits do not
+// fit. Admission (internal/service), the CLIs and New all size through
+// it, so the fingerprint a request is admitted under matches the machine
+// it runs on.
+func (cfg Config) Mesh(n int) (w, h int) {
+	w, h = cfg.Net.MeshW, cfg.Net.MeshH
+	if total := cfg.TotalQubits(n); cfg.Chips > 1 && w*h < total {
+		w, h = network.NearSquareMesh(total)
+	}
+	return w, h
+}
+
 // DefaultConfig sizes a machine for n qubits with the paper's constants.
 func DefaultConfig(n int) Config {
 	d := circuit.PaperDurations()
@@ -163,17 +177,12 @@ type Machine struct {
 // unless they pass a concrete kind.
 func New(cfg Config, numQubits int) (*Machine, error) {
 	total := cfg.TotalQubits(numQubits)
-	if cfg.Chips > 1 {
-		if cfg.Chips > numQubits {
-			return nil, fmt.Errorf("machine: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, numQubits)
-		}
-		if cfg.Net.MeshW*cfg.Net.MeshH < total {
-			// Backstop for callers that sized the mesh for the data qubits
-			// only; the entry points (service, CLIs) resize identically up
-			// front so fingerprints computed at admission match the machine.
-			cfg.Net.MeshW, cfg.Net.MeshH = network.NearSquareMesh(total)
-		}
+	if cfg.Chips > 1 && cfg.Chips > numQubits {
+		return nil, fmt.Errorf("machine: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, numQubits)
 	}
+	// Backstop for callers that sized the mesh for the data qubits only;
+	// the entry points resize identically up front.
+	cfg.Net.MeshW, cfg.Net.MeshH = cfg.Mesh(numQubits)
 	topo, err := network.NewTopology(cfg.Net)
 	if err != nil {
 		return nil, err
@@ -271,17 +280,7 @@ func NewForCircuit(c *circuit.Circuit, meshW, meshH int, cfg Config) (*Machine, 
 
 // CompileOptions derives compiler options consistent with this machine.
 func (m *Machine) CompileOptions() compiler.Options {
-	opt := compiler.DefaultOptions(m.Topo.Root, m.Topo.N)
-	opt.Durations = m.Cfg.Durations
-	opt.MeasLatency = m.Cfg.MeasLatency
-	opt.Placement = m.Cfg.Placement
-	opt.Schedule = m.Cfg.Schedule
-	opt.Collective = m.Cfg.Collective != ""
-	if m.Cfg.Chips > 1 {
-		opt.Chips = m.Cfg.Chips
-		opt.EPRLatency = m.Cfg.effectiveEPRLatency()
-	}
-	return opt
+	return compileOptions(m.Cfg, m.Topo)
 }
 
 // CompileOptionsFor derives the compiler options a machine built from cfg
@@ -293,6 +292,13 @@ func CompileOptionsFor(cfg Config) (compiler.Options, error) {
 	if err != nil {
 		return compiler.Options{}, err
 	}
+	return compileOptions(cfg, topo), nil
+}
+
+// compileOptions is the one derivation of compiler options from a machine
+// config and its topology: every compile policy a job runs with is chosen
+// on the Config and reaches the compiler only through here.
+func compileOptions(cfg Config, topo *network.Topology) compiler.Options {
 	opt := compiler.DefaultOptions(topo.Root, topo.N)
 	opt.Durations = cfg.Durations
 	opt.MeasLatency = cfg.MeasLatency
@@ -305,7 +311,7 @@ func CompileOptionsFor(cfg Config) (compiler.Options, error) {
 		opt.Chips = cfg.Chips
 		opt.EPRLatency = cfg.effectiveEPRLatency()
 	}
-	return opt, nil
+	return opt
 }
 
 // KeyFor is the shared-cache fingerprint Compile would use for a machine
@@ -336,16 +342,10 @@ func StructuralKeyFor(c *circuit.Circuit, mapping []int, cfg Config) (artifact.F
 // without recompiling. The returned artifact is shared — treat it as
 // immutable, the same contract Load and the runner replicas already obey.
 func (m *Machine) Compile(c *circuit.Circuit, mapping []int) (*compiler.Compiled, error) {
-	return m.CompileWith(c, mapping, m.CompileOptions())
-}
-
-// CompileWith lowers a circuit with explicit compiler options (ablations
-// toggle scheduling policies this way). The options are part of the cache
-// fingerprint, so variants never alias each other's artifacts.
-func (m *Machine) CompileWith(c *circuit.Circuit, mapping []int, opt compiler.Options) (*compiler.Compiled, error) {
 	if err := rejectUnbound(c); err != nil {
 		return nil, err
 	}
+	opt := m.CompileOptions()
 	fp := artifact.Key(c, mapping, m.Cfg.Net, opt)
 	cp, _, err := m.Cfg.artifacts().GetOrCompile(fp, func() (*compiler.Compiled, error) {
 		return m.compile(c, mapping, opt)
@@ -398,12 +398,6 @@ func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int, opt compiler.O
 		return nil, err
 	}
 	return m.compile(c, mapping, opt)
-}
-
-// ArtifactKey is the shared-cache fingerprint Compile would use for this
-// circuit and mapping on this machine.
-func (m *Machine) ArtifactKey(c *circuit.Circuit, mapping []int) artifact.Fingerprint {
-	return artifact.Key(c, mapping, m.Cfg.Net, m.CompileOptions())
 }
 
 // Load installs compiled programs and tables on every controller.

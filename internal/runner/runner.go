@@ -36,26 +36,15 @@ import (
 
 // Spec describes a repeatable execution: the circuit, its placement on the
 // mesh, and the machine configuration. Cfg.Seed is the base seed of the
-// shot stream.
+// shot stream, and Cfg is the only place compile policies are chosen
+// (Cfg.Placement, Cfg.Schedule, Cfg.Chips, ...): every replica derives its
+// compiler options from it.
 type Spec struct {
 	Circuit *circuit.Circuit
 	MeshW   int
 	MeshH   int
 	Mapping []int // qubit -> controller; nil = identity
 	Cfg     machine.Config
-	// Placement names the placement policy applied when Mapping is nil
-	// ("" defers to Cfg.Placement, whose zero value is the legacy identity
-	// policy). Carried on the spec so callers that don't build a
-	// machine.Config by hand can still select a placer; build() folds it
-	// into the config before construction, keeping one source of truth.
-	Placement string
-	// Schedule names the scheduling policy of the compiler's Schedule pass
-	// ("" defers to Cfg.Schedule, whose zero value is the legacy fixed
-	// replay). Folded into the config by build(), exactly like Placement.
-	Schedule string
-	// Options overrides the machine-derived compiler options when non-nil
-	// (ablations toggle scheduling policies this way).
-	Options *compiler.Options
 	// FreshCompile bypasses the shared artifact cache for this spec:
 	// every compile is paid in full and nothing is cached. It is the
 	// measured baseline of the cache experiments and an escape hatch if
@@ -171,34 +160,15 @@ func (h Histogram) String() string {
 // freshly when fresh is set; the compiled artifact is returned either
 // way).
 func build(spec Spec, cp *compiler.Compiled, fresh bool) (*machine.Machine, *compiler.Compiled, error) {
-	if spec.Placement != "" {
-		spec.Cfg.Placement = spec.Placement
-	}
-	if spec.Schedule != "" {
-		spec.Cfg.Schedule = spec.Schedule
-	}
 	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if cp == nil {
-		opt := m.CompileOptions()
-		if spec.Options != nil {
-			opt = *spec.Options
-			if opt.Placement == "" {
-				// An explicit Options override (the ablation knob) names no
-				// policy of its own: keep the spec's placement rather than
-				// silently reverting to identity.
-				opt.Placement = spec.Cfg.Placement
-			}
-			if opt.Schedule == "" {
-				opt.Schedule = spec.Cfg.Schedule
-			}
-		}
 		if fresh || spec.FreshCompile {
-			cp, err = m.CompileFresh(spec.Circuit, spec.Mapping, opt)
+			cp, err = m.CompileFresh(spec.Circuit, spec.Mapping, m.CompileOptions())
 		} else {
-			cp, err = m.CompileWith(spec.Circuit, spec.Mapping, opt)
+			cp, err = m.Compile(spec.Circuit, spec.Mapping)
 		}
 		if err != nil {
 			return nil, nil, err

@@ -174,8 +174,8 @@ func TestZeroShots(t *testing.T) {
 	}
 }
 
-// Spec.Placement folds into the machine config and survives an explicit
-// compiler-options override that names no policy of its own.
+// Cfg.Placement reaches the compiler's Place pass through Build: the
+// artifact records the policy's non-identity mapping.
 func TestSpecPlacementThreads(t *testing.T) {
 	c := circuit.New(6)
 	c.H(0)
@@ -185,29 +185,13 @@ func TestSpecPlacementThreads(t *testing.T) {
 	for q := 0; q < 6; q++ {
 		c.MeasureInto(q, q)
 	}
-	spec := Spec{
-		Circuit: c, MeshW: 3, MeshH: 2,
-		Cfg: machine.DefaultConfig(6), Placement: "interaction",
-	}
-	m, cp, err := Build(spec, nil)
+	cfg := machine.DefaultConfig(6)
+	cfg.Placement = "interaction"
+	_, cp, err := Build(Spec{Circuit: c, MeshW: 3, MeshH: 2, Cfg: cfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cp.Mapping) != 6 {
 		t.Fatalf("placement did not thread: mapping %v", cp.Mapping)
-	}
-
-	// Ablation-style Options override with no policy of its own: the
-	// spec's placement must not silently revert to identity.
-	opt := m.CompileOptions()
-	opt.Placement = ""
-	opt.AdvanceBooking = false
-	spec.Options = &opt
-	_, cp2, err := Build(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp2.Mapping) != 6 {
-		t.Fatalf("Options override dropped the placement: mapping %v", cp2.Mapping)
 	}
 }

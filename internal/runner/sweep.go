@@ -31,12 +31,9 @@ type SweepPoint struct {
 // when cp is nil (a shared-cache hit on every replica after the first,
 // and on every later sweep of the same skeleton). The loaded artifact is
 // the unbound skeleton; callers patch it per point with BindParams.
-// Unlike Build, spec.Options and spec.FreshCompile are ignored — sweeps
-// always run the machine-derived options through the cache.
+// Unlike Build, spec.FreshCompile is ignored — sweeps always compile
+// through the cache.
 func BuildSkeleton(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compiler.Compiled, error) {
-	if spec.Placement != "" {
-		spec.Cfg.Placement = spec.Placement
-	}
 	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
 		return nil, nil, err

@@ -70,6 +70,49 @@ func TestRunSweepMatchesBoundRuns(t *testing.T) {
 	}
 }
 
+// TestRunSweepHonorsSchedule: Cfg.Schedule reaches the skeleton compile.
+// A padded sweep gives, point for point, the histograms and makespans of
+// padded Runs of each bound circuit, and its makespans differ from the
+// fixed sweep's, so a schedule dropped on the skeleton path cannot pass.
+func TestRunSweepHonorsSchedule(t *testing.T) {
+	spec, points := sweepSpec(6, 1)
+	fixed, err := RunSweep(spec, points, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Cfg.Schedule = "padded"
+	padded, err := RunSweep(spec, points, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := false
+	for k, pt := range padded {
+		bound, err := spec.Circuit.Bind(points[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := spec
+		bs.Circuit = bound
+		bs.Cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
+		want, err := Run(bs, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pt.Set.Histogram(), want.Histogram()) {
+			t.Fatalf("point %d: padded sweep histogram differs from a padded run", k)
+		}
+		if !reflect.DeepEqual(pt.Set.Makespans(), want.Makespans()) {
+			t.Fatalf("point %d: padded sweep makespans %v, padded run %v", k, pt.Set.Makespans(), want.Makespans())
+		}
+		if !reflect.DeepEqual(pt.Set.Makespans(), fixed[k].Set.Makespans()) {
+			differs = true
+		}
+	}
+	if !differs {
+		t.Fatal("padded and fixed sweeps have identical makespans: the schedule never reached the compiler")
+	}
+}
+
 // TestRunSweepCompilesOnce: an N-point sweep charges the shared cache
 // exactly one compile, and a repeat sweep charges none.
 func TestRunSweepCompilesOnce(t *testing.T) {

@@ -506,15 +506,13 @@ func resolveRequest(req Request) (Request, machine.Config, string, string, error
 		if cfg.Chips > req.Circuit.NumQubits {
 			return req, machine.Config{}, "", "", fmt.Errorf("service: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, req.Circuit.NumQubits)
 		}
-		// The expansion appends one communication qubit per chip; grow
-		// the mesh here, at admission, exactly the way machine.New
-		// would, so the fingerprint this request is admitted and routed
-		// under matches the machine it will run on.
-		if total := cfg.TotalQubits(req.Circuit.NumQubits); req.MeshW*req.MeshH < total {
-			req.MeshW, req.MeshH = placement.AutoMesh(total)
-			cfg.Net.MeshW, cfg.Net.MeshH = req.MeshW, req.MeshH
-		}
 	}
+	// The multi-chip expansion appends one communication qubit per chip;
+	// grow the mesh here, at admission, exactly the way machine.New would,
+	// so the fingerprint this request is admitted and routed under matches
+	// the machine it will run on.
+	req.MeshW, req.MeshH = cfg.Mesh(req.Circuit.NumQubits)
+	cfg.Net.MeshW, cfg.Net.MeshH = req.MeshW, req.MeshH
 	// Validate the policies the job will actually compile with — whether
 	// they arrived via the request or a caller-supplied Cfg — so unknown
 	// names are rejected here, before any work queues.
@@ -778,8 +776,9 @@ func (s *Service) worker() {
 		j.mu.Lock()
 		j.cacheHit, j.batched = cacheHit, batched
 		j.mu.Unlock()
-		j.finish(set, err)
 
+		// Count the job before finish wakes its waiters, so a caller that
+		// reads Stats after Wait sees this job in every counter.
 		s.mu.Lock()
 		s.running--
 		var agg congestionAgg
@@ -809,6 +808,7 @@ func (s *Service) worker() {
 		}
 		s.retire(j.id)
 		s.mu.Unlock()
+		j.finish(set, err)
 		if err == nil {
 			s.maybeReplace(j, agg.fb)
 		}

@@ -49,8 +49,10 @@ import (
 
 // Version is bumped whenever the payload encoding changes shape; Decode
 // rejects every other version, so a store directory can never feed a
-// differently-shaped artifact into a newer process.
-const Version = 1
+// differently-shaped artifact into a newer process. v2: Stats.RemoteGates
+// and PublicBits joined the payload — v1 dropped both, so a restored
+// multi-chip artifact put its teleport-correction bits into results.
+const Version = 2
 
 var magic = [8]byte{'D', 'H', 'S', 'Q', 'A', 'R', 'T', 0}
 
@@ -380,6 +382,7 @@ func Encode(cp *compiler.Compiled) []byte {
 	e.i64(int64(cp.Stats.Sends))
 	e.i64(int64(cp.Stats.Recvs))
 	e.i64(int64(cp.Stats.TableEntries))
+	e.i64(int64(cp.Stats.RemoteGates))
 
 	e.length(len(cp.Mapping), cp.Mapping == nil)
 	for _, m := range cp.Mapping {
@@ -392,6 +395,7 @@ func Encode(cp *compiler.Compiled) []byte {
 		e.i64(int64(ps.Index))
 		e.str(ps.Sym)
 	}
+	e.i64(int64(cp.PublicBits))
 
 	sum := sha256.Sum256(e.buf)
 	return append(e.buf, sum[:]...)
@@ -560,6 +564,7 @@ func Decode(data []byte) (*compiler.Compiled, error) {
 	cp.Stats.Sends = int(d.i64())
 	cp.Stats.Recvs = int(d.i64())
 	cp.Stats.TableEntries = int(d.i64())
+	cp.Stats.RemoteGates = int(d.i64())
 
 	nMap := d.count(8)
 	if nMap >= 0 {
@@ -578,6 +583,7 @@ func Decode(data []byte) (*compiler.Compiled, error) {
 			Ctrl: int(d.i64()), Index: int(d.i64()), Sym: d.str(),
 		}
 	}
+	cp.PublicBits = int(d.i64())
 
 	if d.err != nil {
 		return nil, d.err

@@ -61,6 +61,44 @@ func fpOf(b byte) artifact.Fingerprint {
 	return fp
 }
 
+// compileMultiChip produces a 2-chip artifact: the expansion appends one
+// communication qubit per chip and teleport-correction bits after the
+// circuit's own, so PublicBits and Stats.RemoteGates are both non-zero.
+func compileMultiChip(t *testing.T, n int) *compiler.Compiled {
+	t.Helper()
+	c := workloads.GHZ(n)
+	cfg := machine.DefaultConfig(n)
+	cfg.Chips = 2
+	cfg.Net.MeshW, cfg.Net.MeshH = cfg.Mesh(n)
+	m, err := machine.NewForCircuit(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := m.CompileFresh(c, nil, m.CompileOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// A restored multi-chip artifact must keep the public-bit boundary:
+// without it, a store-warm job reads its herald bits into the histogram.
+func TestMultiChipRoundTrip(t *testing.T) {
+	cp := compileMultiChip(t, 6)
+	if cp.PublicBits != 6 || len(cp.BitOwner) <= cp.PublicBits || cp.Stats.RemoteGates == 0 {
+		t.Fatalf("fixture is not multi-chip: %d public of %d bits, %d remote gates",
+			cp.PublicBits, len(cp.BitOwner), cp.Stats.RemoteGates)
+	}
+	got, err := store.Decode(store.Encode(cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cp) {
+		t.Fatalf("decoded 2-chip artifact differs: PublicBits %d (want %d), RemoteGates %d (want %d)",
+			got.PublicBits, cp.PublicBits, got.Stats.RemoteGates, cp.Stats.RemoteGates)
+	}
+}
+
 // The store's reason to exist: what comes back from disk is structurally
 // identical to what the compiler produced — for a concrete circuit and
 // for a parameterized skeleton with live ParamSlots.
