@@ -9,6 +9,7 @@ package dhisq
 import (
 	"testing"
 
+	"dhisq/internal/artifact"
 	"dhisq/internal/exp"
 	"dhisq/internal/isa"
 	"dhisq/internal/machine"
@@ -223,9 +224,9 @@ func BenchmarkArtifactCache(b *testing.B) {
 // BenchmarkServiceRepeatJobs is the repeat-circuit serving workload the
 // artifact cache and replica pool exist for: every iteration submits the
 // same benchmark as a fresh job. "cold" is the pre-serving world — a
-// fresh service and a FreshCompile job per iteration, so each submission
-// pays compile + machine build; "warm" keeps one service hot, so a job
-// is admission + reset-and-run only.
+// fresh service over an empty private cache per iteration, so each
+// submission pays compile + machine build; "warm" keeps one service hot,
+// so a job is admission + reset-and-run only.
 func BenchmarkServiceRepeatJobs(b *testing.B) {
 	bench, err := workloads.BuildScaled("qft_n30", 1)
 	if err != nil {
@@ -235,12 +236,11 @@ func BenchmarkServiceRepeatJobs(b *testing.B) {
 	cfg.Backend = machine.BackendSeeded
 	const shotsPerJob = 1
 
-	submit := func(b *testing.B, svc *service.Service, fresh bool) {
+	submit := func(b *testing.B, svc *service.Service) {
 		b.Helper()
 		id, err := svc.Submit(service.Request{
 			Circuit: bench.Circuit, MeshW: bench.MeshW, MeshH: bench.MeshH,
 			Mapping: bench.Mapping, Cfg: &cfg, Shots: shotsPerJob, Seed: 3,
-			FreshCompile: fresh,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -252,18 +252,18 @@ func BenchmarkServiceRepeatJobs(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			svc := service.New(service.Config{Workers: 1})
-			submit(b, svc, true)
+			svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(1)})
+			submit(b, svc)
 			svc.Close()
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		svc := service.New(service.Config{Workers: 1})
 		defer svc.Close()
-		submit(b, svc, false) // warm the cache and the replica pool
+		submit(b, svc) // warm the cache and the replica pool
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			submit(b, svc, false)
+			submit(b, svc)
 		}
 	})
 }

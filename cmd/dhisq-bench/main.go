@@ -583,10 +583,10 @@ func benchShots(outDir string, scale int, seed int64, shots, workers int) error 
 
 // benchCache measures the repeat-circuit serving workload the artifact
 // cache and replica pool exist for: many single-shot jobs for the same
-// circuit. Cold pays compile + machine build per job (fresh service,
-// cleared cache — the pre-cache behavior); warm submits through one
-// long-lived service, which compiles exactly once and batches every
-// later job onto pooled replicas. Results must be byte-identical; emits
+// circuit. Cold pays compile + machine build per job (a fresh service
+// over an empty private cache — the pre-cache behavior); warm submits
+// through one long-lived service, which compiles exactly once and
+// batches every later job onto pooled replicas. Results must be byte-identical; emits
 // BENCH_cache.json.
 func benchCache(outDir string, seed int64, jobs int) error {
 	if jobs < 2 {
@@ -598,11 +598,10 @@ func benchCache(outDir string, seed int64, jobs int) error {
 	}
 	cfg := machine.DefaultConfig(b.Qubits)
 	cfg.Backend = machine.BackendSeeded
-	submit := func(svc *service.Service, fresh bool) (service.JobStatus, error) {
+	submit := func(svc *service.Service) (service.JobStatus, error) {
 		id, err := svc.Submit(service.Request{
 			Circuit: b.Circuit, MeshW: b.MeshW, MeshH: b.MeshH,
 			Mapping: b.Mapping, Cfg: &cfg, Shots: 1, Seed: seed,
-			FreshCompile: fresh,
 		})
 		if err != nil {
 			return service.JobStatus{}, err
@@ -618,13 +617,13 @@ func benchCache(outDir string, seed int64, jobs int) error {
 	}
 
 	// Cold is the pre-serving world: nothing outlives a submission, so
-	// each job gets a fresh service and a FreshCompile execution —
-	// machine build + full compile per job, no cache, no pooled
-	// replicas (and no interference with the warm service's cached
-	// artifact). Warm is the PR's serving stack: one long-lived
-	// service, one compile, pooled replicas. Rounds are interleaved and
-	// each strategy keeps its best rate, so a slow scheduler patch on a
-	// shared host cannot sink one side.
+	// each job gets a fresh service over an empty private cache —
+	// machine build + full compile per job, no pooled replicas (and no
+	// interference with the warm service's cached artifact). Warm is the
+	// serving stack: one long-lived service, one compile, pooled
+	// replicas. Rounds are interleaved and each strategy keeps its best
+	// rate, so a slow scheduler patch on a shared host cannot sink one
+	// side.
 	const rounds = 3
 	perRound := jobs / rounds
 	if perRound < 1 {
@@ -635,14 +634,14 @@ func benchCache(outDir string, seed int64, jobs int) error {
 	defer svc.Close()
 	var coldRate, warmRate float64
 	var coldRef, warmRef service.JobStatus
-	if _, err := submit(svc, false); err != nil { // warm the cache + replica pool
+	if _, err := submit(svc); err != nil { // warm the cache + replica pool
 		return err
 	}
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
 		for i := 0; i < perRound; i++ {
-			cold := service.New(service.Config{Workers: 1})
-			st, err := submit(cold, true)
+			cold := service.New(service.Config{Workers: 1, Artifacts: artifact.New(1)})
+			st, err := submit(cold)
 			cold.Close()
 			if err != nil {
 				return err
@@ -654,7 +653,7 @@ func benchCache(outDir string, seed int64, jobs int) error {
 		}
 		start = time.Now()
 		for i := 0; i < perRound; i++ {
-			st, err := submit(svc, false)
+			st, err := submit(svc)
 			if err != nil {
 				return err
 			}

@@ -14,6 +14,7 @@ import (
 	"dhisq/internal/compiler"
 	"dhisq/internal/core"
 	"dhisq/internal/network"
+	"dhisq/internal/quantum"
 	"dhisq/internal/sim"
 	"dhisq/internal/telf"
 )
@@ -192,6 +193,12 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	}
 	if cfg.Backend == BackendAuto {
 		cfg.Backend = BackendSeeded
+	}
+	// Every lane of a state-vector machine holds a dense vector over all
+	// total qubits (data plus comm); refuse sizes the simulator cannot
+	// hold rather than let chip.NewStateVec panic the caller.
+	if cfg.Backend == BackendStateVec && (total < 1 || total > quantum.MaxQubits) {
+		return nil, fmt.Errorf("machine: state-vector backend supports 1..%d qubits, device has %d", quantum.MaxQubits, total)
 	}
 	eng := sim.NewEngine()
 	log := telf.NewLog()
@@ -391,8 +398,8 @@ func (m *Machine) compile(c *circuit.Circuit, mapping []int, opt compiler.Option
 
 // CompileFresh lowers a circuit without consulting the artifact cache.
 // It exists for the paths whose meaning depends on paying the compile
-// every time — runner.RunRebuild's legacy baseline and the cold side of
-// cache benchmarks.
+// every time — runner.RunRebuild's legacy baseline and the fresh side of
+// the compile benchmarks.
 func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int, opt compiler.Options) (*compiler.Compiled, error) {
 	if err := rejectUnbound(c); err != nil {
 		return nil, err

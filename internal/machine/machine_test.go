@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
+	"dhisq/internal/quantum"
 	"dhisq/internal/workloads"
 )
 
@@ -155,6 +157,35 @@ func TestStabilizerBackendLargeGHZ(t *testing.T) {
 	for i := 1; i < 64; i++ {
 		if bits[i] != bits[0] {
 			t.Fatalf("large GHZ broken at %d", i)
+		}
+	}
+}
+
+// TestStateVecRejectsOversizedDevice: a dense state vector the simulator
+// cannot hold is an error from New, not a panic — counting the comm qubits
+// of a multi-chip device and regardless of the lane count.
+func TestStateVecRejectsOversizedDevice(t *testing.T) {
+	cases := map[string]struct {
+		c     *circuit.Circuit
+		chips int
+		lanes int
+	}{
+		"data-qubits": {c: workloads.GHZ(40)},
+		"comm-qubits": {c: workloads.GHZ(quantum.MaxQubits - 1), chips: 2},
+		"lanes":       {c: workloads.GHZ(quantum.MaxQubits + 1), lanes: 4},
+	}
+	for name, tc := range cases {
+		cfg := DefaultConfig(tc.c.NumQubits)
+		cfg.Backend = BackendStateVec
+		cfg.Chips = tc.chips
+		cfg.ShotLanes = tc.lanes
+		w, h := cfg.Mesh(tc.c.NumQubits)
+		m, err := NewForCircuit(tc.c, w, h, cfg)
+		if err == nil || m != nil {
+			t.Fatalf("%s: %d-qubit state-vector device accepted", name, cfg.TotalQubits(tc.c.NumQubits))
+		}
+		if !strings.Contains(err.Error(), "state-vector") {
+			t.Fatalf("%s: unexpected error %v", name, err)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func RunBatched(spec Spec, shots, lanes int) (*ShotSet, error) {
 		return set, nil
 	}
 	spec.Cfg.ShotLanes = lanes
-	m, cp, err := build(spec, nil, false)
+	m, cp, err := Build(spec, nil)
 	if err != nil {
 		return nil, err
 	}

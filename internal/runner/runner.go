@@ -45,11 +45,6 @@ type Spec struct {
 	MeshH   int
 	Mapping []int // qubit -> controller; nil = identity
 	Cfg     machine.Config
-	// FreshCompile bypasses the shared artifact cache for this spec:
-	// every compile is paid in full and nothing is cached. It is the
-	// measured baseline of the cache experiments and an escape hatch if
-	// a cached artifact is ever suspect; normal runs leave it false.
-	FreshCompile bool
 }
 
 // Shot is the outcome of one repetition.
@@ -78,53 +73,13 @@ func (s Shot) Key() string {
 // Histogram counts shots per classical-bitstring outcome.
 type Histogram map[string]int
 
-// histogramGrain is the chunk size below which Histogram counts
-// sequentially; larger shot sets count per-chunk partial histograms
-// concurrently and merge them with TreeReduce.
-const histogramGrain = 512
-
-// Histogram aggregates the shot outcomes. Large sets are counted as
-// per-chunk partial histograms merged over the host reduction tree
-// (TreeReduce); map-key insertion order is irrelevant to a map, so the
-// result is identical to the sequential count for any chunking.
+// Histogram aggregates the shot outcomes.
 func (s *ShotSet) Histogram() Histogram {
-	count := func(shots []Shot) Histogram {
-		h := Histogram{}
-		for _, shot := range shots {
-			h[shot.Key()]++
-		}
-		return h
+	h := Histogram{}
+	for _, shot := range s.Shots {
+		h[shot.Key()]++
 	}
-	if len(s.Shots) <= histogramGrain {
-		return count(s.Shots)
-	}
-	parts := make([]Histogram, (len(s.Shots)+histogramGrain-1)/histogramGrain)
-	var wg sync.WaitGroup
-	for i := range parts {
-		lo := i * histogramGrain
-		hi := lo + histogramGrain
-		if hi > len(s.Shots) {
-			hi = len(s.Shots)
-		}
-		i, chunk := i, s.Shots[lo:hi]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[i] = count(chunk)
-		}()
-	}
-	wg.Wait()
-	h, _ := TreeReduce(parts, 1, mergeHistograms)
 	return h
-}
-
-// mergeHistograms folds b into a and returns a (TreeReduce combiner; each
-// partial enters exactly one combine call, so mutating a is safe).
-func mergeHistograms(a, b Histogram) Histogram {
-	for k, n := range b {
-		a[k] += n
-	}
-	return a
 }
 
 // Makespans returns the per-shot makespans in shot order.
@@ -155,22 +110,17 @@ func (h Histogram) String() string {
 	return b.String()
 }
 
-// build constructs one machine replica for the spec and loads cp into it
-// (cp == nil compiles first — through the shared artifact cache, or
-// freshly when fresh is set; the compiled artifact is returned either
-// way).
-func build(spec Spec, cp *compiler.Compiled, fresh bool) (*machine.Machine, *compiler.Compiled, error) {
+// Build constructs one loaded machine replica for the spec, compiling
+// through the shared artifact cache when cp is nil (the compiled artifact
+// is returned either way). internal/service uses it to grow per-artifact
+// replica pools that outlive a single Run call.
+func Build(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compiler.Compiled, error) {
 	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if cp == nil {
-		if fresh || spec.FreshCompile {
-			cp, err = m.CompileFresh(spec.Circuit, spec.Mapping, m.CompileOptions())
-		} else {
-			cp, err = m.Compile(spec.Circuit, spec.Mapping)
-		}
-		if err != nil {
+		if cp, err = m.Compile(spec.Circuit, spec.Mapping); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -178,13 +128,6 @@ func build(spec Spec, cp *compiler.Compiled, fresh bool) (*machine.Machine, *com
 		return nil, nil, err
 	}
 	return m, cp, nil
-}
-
-// Build constructs one loaded machine replica for the spec, compiling
-// through the shared artifact cache when cp is nil. internal/service uses
-// it to grow per-artifact replica pools that outlive a single Run call.
-func Build(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compiler.Compiled, error) {
-	return build(spec, cp, false)
 }
 
 // runShot executes shot k on an already-loaded replica and reads it out.
@@ -226,14 +169,14 @@ func Run(spec Spec, shots, workers int) (*ShotSet, error) {
 	// Compile once on replica 0 (a shared-cache hit if this circuit has
 	// been seen before); the artifact is immutable from here on and every
 	// replica shares it.
-	first, cp, err := build(spec, nil, false)
+	first, cp, err := Build(spec, nil)
 	if err != nil {
 		return nil, err
 	}
 	machines := make([]*machine.Machine, workers)
 	machines[0] = first
 	for w := 1; w < workers; w++ {
-		if machines[w], _, err = build(spec, cp, false); err != nil {
+		if machines[w], _, err = Build(spec, cp); err != nil {
 			return nil, err
 		}
 	}
@@ -322,10 +265,17 @@ func RunRebuild(spec Spec, shots int) (*ShotSet, error) {
 	}
 	set := &ShotSet{Shots: make([]Shot, shots), NumBits: spec.Circuit.NumBits}
 	for k := 0; k < shots; k++ {
-		shotSpec := spec
-		shotSpec.Cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
-		m, _, err := build(shotSpec, nil, true)
+		cfg := spec.Cfg
+		cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
+		m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, cfg)
 		if err != nil {
+			return nil, err
+		}
+		cp, err := m.CompileFresh(spec.Circuit, spec.Mapping, m.CompileOptions())
+		if err != nil {
+			return nil, err
+		}
+		if err := m.Load(cp); err != nil {
 			return nil, err
 		}
 		res, err := m.Run()
@@ -336,7 +286,7 @@ func RunRebuild(spec Spec, shots int) (*ShotSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("runner: rebuild shot %d: %w", k, err)
 		}
-		set.Shots[k] = Shot{Index: k, Seed: shotSpec.Cfg.Seed, Result: res, Bits: bits}
+		set.Shots[k] = Shot{Index: k, Seed: cfg.Seed, Result: res, Bits: bits}
 	}
 	return set, nil
 }

@@ -31,8 +31,6 @@ type SweepPoint struct {
 // when cp is nil (a shared-cache hit on every replica after the first,
 // and on every later sweep of the same skeleton). The loaded artifact is
 // the unbound skeleton; callers patch it per point with BindParams.
-// Unlike Build, spec.FreshCompile is ignored — sweeps always compile
-// through the cache.
 func BuildSkeleton(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compiler.Compiled, error) {
 	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
@@ -82,7 +80,7 @@ func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]Swe
 			return nil, err
 		}
 	}
-	return RunSweepOn(machines, skel, points, spec.Cfg.Seed, shots, spec.Circuit.NumBits)
+	return RunSweepOn(machines, skel, points, spec.Cfg.Seed, shots, spec.Circuit.NumBits, nil)
 }
 
 // RunSweepOn executes the sweep on caller-owned replicas loaded with the
@@ -92,20 +90,15 @@ func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]Swe
 // machine.DeriveSeed(base, pointIndex); results land at their point
 // index, so the merge never depends on completion order. On error the
 // lowest failing point index is reported.
-func RunSweepOn(machines []*machine.Machine, skel *compiler.Compiled, points []map[string]float64, base int64, shots, numBits int) ([]SweepPoint, error) {
-	return RunSweepOnObserved(machines, skel, points, base, shots, numBits, nil)
-}
-
-// RunSweepOnObserved is RunSweepOn with a completion observer: observe
-// (when non-nil) is called once per finished point, in completion order —
-// which under multiple replicas is not point order, and may be concurrent
-// (the observer must be safe to call from several worker goroutines).
-// The observed SweepPoint is the same value that lands in the returned
-// slice. This is the streaming hook: internal/service publishes each
-// observed point to /v1/jobs/{id}/stream watchers while the sweep is
-// still running. The final merged slice (and its determinism guarantee)
-// is unchanged by observation.
-func RunSweepOnObserved(machines []*machine.Machine, skel *compiler.Compiled, points []map[string]float64, base int64, shots, numBits int, observe func(SweepPoint)) ([]SweepPoint, error) {
+//
+// observe (nil for none) is called once per finished point, in
+// completion order — which under multiple replicas is not point order,
+// and may be concurrent, so the observer must be safe to call from
+// several worker goroutines. The observed SweepPoint is the same value
+// that lands in the returned slice. This is the streaming hook:
+// internal/service publishes each observed point to /v1/jobs/{id}/stream
+// watchers while the sweep is still running.
+func RunSweepOn(machines []*machine.Machine, skel *compiler.Compiled, points []map[string]float64, base int64, shots, numBits int, observe func(SweepPoint)) ([]SweepPoint, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("runner: RunSweepOn with no machines")
 	}

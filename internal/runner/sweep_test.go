@@ -159,18 +159,18 @@ func TestRunSweepEdgeCases(t *testing.T) {
 	if _, err := RunSweep(spec, points, -1, 1); err == nil {
 		t.Fatal("negative shots accepted")
 	}
-	if _, err := RunSweepOn(nil, nil, points, 1, 1, 0); err == nil {
+	if _, err := RunSweepOn(nil, nil, points, 1, 1, 0, nil); err == nil {
 		t.Fatal("no machines accepted")
 	}
 	m, skel, err := BuildSkeleton(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSweepOn([]*machine.Machine{m}, nil, points, 1, 1, 0); err == nil {
+	if _, err := RunSweepOn([]*machine.Machine{m}, nil, points, 1, 1, 0, nil); err == nil {
 		t.Fatal("nil skeleton accepted")
 	}
 	// Zero shots: points come back with empty sets, deterministically.
-	out, err := RunSweepOn([]*machine.Machine{m}, skel, points, 1, 0, spec.Circuit.NumBits)
+	out, err := RunSweepOn([]*machine.Machine{m}, skel, points, 1, 0, spec.Circuit.NumBits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

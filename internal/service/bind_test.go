@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dhisq/internal/artifact"
+	"dhisq/internal/circuit"
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
 	"dhisq/internal/workloads"
@@ -26,9 +27,28 @@ func submitWait(t *testing.T, svc *Service, req Request) JobStatus {
 	return st
 }
 
+// fullCompileJob is the full-compile oracle for the binding layer: it
+// binds c at params and runs the bound circuit as a plain job on a fresh
+// service over an empty private cache, so the compile is paid in full and
+// nothing is pooled.
+func fullCompileJob(t *testing.T, c *circuit.Circuit, params map[string]float64, shots int, seed int64, cfg *machine.Config) JobStatus {
+	t.Helper()
+	bc, err := c.Bind(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1, Artifacts: artifact.New(1)})
+	defer svc.Close()
+	st := submitWait(t, svc, Request{Circuit: bc, Shots: shots, Seed: seed, Cfg: cfg})
+	if misses := svc.Stats().Cache.Misses; misses != 1 {
+		t.Fatalf("full-compile oracle compiled %d times, want 1", misses)
+	}
+	return st
+}
+
 // TestParamsJobMatchesFreshCompile: a parameter-bound job served off the
-// cached skeleton is byte-identical to the same binding compiled in full
-// (FreshCompile), and repeat bindings compile nothing.
+// cached skeleton is byte-identical to the same binding compiled in full,
+// and repeat bindings compile nothing.
 func TestParamsJobMatchesFreshCompile(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
@@ -46,7 +66,7 @@ func TestParamsJobMatchesFreshCompile(t *testing.T) {
 	if !warm2.CacheHit {
 		t.Fatal("second binding missed the skeleton cache")
 	}
-	fresh1 := submitWait(t, svc, Request{Circuit: c, Shots: 10, Seed: 5, Params: p1, FreshCompile: true})
+	fresh1 := fullCompileJob(t, c, p1, 10, 5, nil)
 	if warm1.Histogram.String() != fresh1.Histogram.String() {
 		t.Fatalf("bind path broke determinism:\nwarm:\n%s\nfresh:\n%s", warm1.Histogram, fresh1.Histogram)
 	}
@@ -130,9 +150,9 @@ func TestBindAdmissionErrors(t *testing.T) {
 		Params: map[string]float64{}})
 }
 
-// TestFreshSweepMatchesCachedSweep: the FreshCompile sweep baseline —
-// full compile per point, private machines — must agree point for point
-// with the bind-patched path.
+// TestFreshSweepMatchesCachedSweep: the full-compile oracle — each point
+// bound and compiled in full on a fresh service, seeded like sweep point k
+// — must agree point for point with the bind-patched path.
 func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
@@ -142,37 +162,74 @@ func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 		workloads.VQEAnsatzPoint(5, 1, 4),
 	}
 	warm := submitWait(t, svc, Request{Circuit: c, Shots: 5, Seed: 13, Sweep: points})
-	fresh := submitWait(t, svc, Request{Circuit: c, Shots: 5, Seed: 13, Sweep: points, FreshCompile: true})
-	if len(fresh.Points) != len(warm.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(fresh.Points), len(warm.Points))
+	if len(warm.Points) != len(points) {
+		t.Fatalf("got %d points, want %d", len(warm.Points), len(points))
 	}
-	for k := range warm.Points {
-		if warm.Points[k].Histogram.String() != fresh.Points[k].Histogram.String() {
-			t.Fatalf("point %d: bind path %v vs fresh %v", k, warm.Points[k].Histogram, fresh.Points[k].Histogram)
+	for k, pt := range warm.Points {
+		fresh := fullCompileJob(t, c, points[k], 5, machine.DeriveSeed(13, k), nil)
+		if pt.Histogram.String() != fresh.Histogram.String() {
+			t.Fatalf("point %d: bind path %v vs fresh %v", k, pt.Histogram, fresh.Histogram)
 		}
-		if warm.Points[k].Makespan != fresh.Points[k].Makespan {
-			t.Fatalf("point %d makespans differ", k)
+		if pt.Makespan != fresh.Makespan {
+			t.Fatalf("point %d makespans differ: %d vs %d", k, pt.Makespan, fresh.Makespan)
 		}
 	}
 }
 
 // TestSweepCongestionAccounted: a sweep under finite link bandwidth must
-// move the /v1/stats net_* counters even though its per-shot sets are
-// dropped after the per-point snapshots are taken.
+// move every /v1/stats net_* counter by exactly what the equivalent single
+// Params jobs move, even though its per-shot sets are dropped after the
+// per-point snapshots are taken — a fold that dropped or double-counted a
+// point or a shot would show here.
 func TestSweepCongestionAccounted(t *testing.T) {
-	svc := New(Config{Workers: 1})
-	defer svc.Close()
 	c := workloads.VQEAnsatz(6, 1)
 	cfg := machine.DefaultConfig(6)
 	cfg.Net.Topology = network.TopoTree
 	cfg.Net.LinkSerialization = 4
-	submitWait(t, svc, Request{
-		Circuit: c, Shots: 4, Seed: 3, Cfg: &cfg,
-		Sweep: []map[string]float64{workloads.VQEAnsatzPoint(6, 1, 0)},
-	})
-	st := svc.Stats()
-	if st.NetMessages == 0 {
-		t.Fatalf("sweep congestion vanished from service stats: %+v", st)
+	cfg.Collective = "auto"
+	points := []map[string]float64{
+		workloads.VQEAnsatzPoint(6, 1, 0),
+		workloads.VQEAnsatzPoint(6, 1, 1),
+		workloads.VQEAnsatzPoint(6, 1, 2),
+	}
+	const shots, seed = 4, 3
+	net := func(st Stats) [6]uint64 {
+		return [6]uint64{st.NetStallCycles, st.NetMessages, st.NetOverflows,
+			st.NetCollectiveOps, st.NetCollectiveStall, uint64(st.NetMaxQueue)}
+	}
+
+	sweep := New(Config{Workers: 1, ShotWorkers: 2})
+	defer sweep.Close()
+	submitWait(t, sweep, Request{Circuit: c, Shots: shots, Seed: seed, Cfg: &cfg, Sweep: points})
+	got := net(sweep.Stats())
+
+	// The single jobs keep their shot sets, so their counters are checked
+	// against the per-shot congestion too — a fold fault shared by both
+	// paths cannot hide.
+	singles := New(Config{Workers: 1})
+	defer singles.Close()
+	var direct [6]uint64
+	for k, p := range points {
+		st := submitWait(t, singles, Request{
+			Circuit: c, Shots: shots, Seed: machine.DeriveSeed(seed, k), Cfg: &cfg, Params: p,
+		})
+		for _, shot := range st.Set.Shots {
+			n := shot.Result.Net
+			direct[0] += uint64(n.TotalStall())
+			direct[1] += n.LinkMessages + n.PortMessages
+			direct[2] += n.LinkOverflows + n.PortOverflows
+			direct[3] += n.CollectiveOps
+			direct[4] += uint64(n.CollectiveStall)
+			direct[5] = max(direct[5], uint64(n.MaxQueue()))
+		}
+	}
+	want := net(singles.Stats())
+	if got != want || want != direct {
+		t.Fatalf("net counters (stall, messages, overflows, coll ops, coll stall, max queue): "+
+			"sweep %v, single jobs %v, per-shot sum %v", got, want, direct)
+	}
+	if want[0] == 0 || want[1] == 0 || want[3] == 0 {
+		t.Fatalf("workload exercises no congestion or collective traffic: %v", want)
 	}
 }
 

@@ -137,11 +137,6 @@ type Request struct {
 	// Seed, when non-zero, is the job's base seed; 0 lets the service
 	// derive a per-job seed from its own seed stream.
 	Seed int64
-	// FreshCompile makes this job bypass the artifact cache and the
-	// replica pool entirely: compile + build paid in full, nothing
-	// cached or pooled. The baseline knob of the cache experiments and
-	// a diagnostic escape hatch; results are still byte-identical.
-	FreshCompile bool
 	// Params binds the circuit's symbolic parameters for this job. The
 	// job is fingerprinted on the bind-invariant structural key, so every
 	// binding of one skeleton shares a single compiled artifact (patched
@@ -340,18 +335,10 @@ func (j *job) publish(ps PointStatus) {
 // still move the /v1/stats net_* counters.
 func (j *job) setPoints(pts []runner.SweepPoint) {
 	out := make([]PointStatus, len(pts))
-	aggs := make([]congestionAgg, len(pts))
+	agg := congestionAgg{track: j.trackFeedback}
 	for i, p := range pts {
 		out[i] = pointStatusOf(p)
-		aggs[i] = congestionAgg{track: j.trackFeedback}
-		aggs[i].add(p.Set)
-	}
-	// Per-point aggregates fold over the host reduction tree, mirroring the
-	// per-shot fold inside add; for a zero-point sweep the zero aggregate
-	// stands.
-	agg, ok := runner.TreeReduce(aggs, digestGrain, congestionAgg.merge)
-	if !ok {
-		agg = congestionAgg{track: j.trackFeedback}
+		agg.add(p.Set)
 	}
 	j.mu.Lock()
 	j.points = out
@@ -606,9 +593,8 @@ func (s *Service) Submit(req Request) (string, error) {
 		done:   make(chan struct{}),
 		notify: make(chan struct{}),
 		// Per-link feedback is only worth aggregating when the re-place
-		// loop can consume it; FreshCompile jobs opt out of pooling and
-		// therefore out of the loop.
-		trackFeedback: s.cfg.ReplaceStallThreshold > 0 && !req.FreshCompile,
+		// loop can consume it.
+		trackFeedback: s.cfg.ReplaceStallThreshold > 0,
 	}
 
 	s.mu.Lock()
@@ -627,7 +613,7 @@ func (s *Service) Submit(req Request) (string, error) {
 	j.seed = seed
 	j.spec = runner.Spec{
 		Circuit: req.Circuit, MeshW: req.MeshW, MeshH: req.MeshH,
-		Mapping: req.Mapping, Cfg: cfg, FreshCompile: req.FreshCompile,
+		Mapping: req.Mapping, Cfg: cfg,
 	}
 	select {
 	case s.queue <- j:
@@ -789,7 +775,7 @@ func (s *Service) worker() {
 			if batched {
 				s.stats.BatchedJobs++
 			}
-			if j.req.bindJob() && !j.req.FreshCompile {
+			if j.req.bindJob() {
 				n := uint64(1)
 				if len(j.req.Sweep) > 0 {
 					n = uint64(len(j.req.Sweep))
@@ -815,11 +801,9 @@ func (s *Service) worker() {
 	}
 }
 
-// netDigest is one shot's fabric-congestion summary, the element type of
-// the host reduction tree: add builds one per shot and folds them with
-// runner.TreeReduce instead of a linear accumulation loop. Collective
-// counters fold even when the contention model is disabled — the
-// collective layer runs (and counts operations) either way.
+// netDigest is one shot's fabric-congestion summary. Collective counters
+// fold even when the contention model is disabled — the collective layer
+// runs (and counts operations) either way.
 type netDigest struct {
 	stall, messages, overflows uint64
 	collOps, collStall         uint64
@@ -843,8 +827,7 @@ func digestOf(res machine.Result) netDigest {
 	return d
 }
 
-// merge combines two digests (associative and commutative — sums and a
-// max — so the reduction tree agrees with any fold order).
+// merge combines two digests (sums and a max, so any fold order agrees).
 func (d netDigest) merge(e netDigest) netDigest {
 	d.stall += e.stall
 	d.messages += e.messages
@@ -856,10 +839,6 @@ func (d netDigest) merge(e netDigest) netDigest {
 	}
 	return d
 }
-
-// digestGrain keeps small shot sets on the sequential leaf path of the
-// reduction tree; only jobs with hundreds of shots fan the fold out.
-const digestGrain = 256
 
 // congestionAgg accumulates per-shot fabric congestion so it can outlive
 // the shot sets it came from (sweep jobs drop theirs at setPoints). With
@@ -873,34 +852,12 @@ type congestionAgg struct {
 }
 
 func (a *congestionAgg) add(set *runner.ShotSet) {
-	if len(set.Shots) == 0 {
-		return
-	}
-	digests := make([]netDigest, len(set.Shots))
-	for i, shot := range set.Shots {
-		digests[i] = digestOf(shot.Result)
-	}
-	folded, _ := runner.TreeReduce(digests, digestGrain, netDigest.merge)
-	a.net = a.net.merge(folded)
-	if a.track {
-		// Per-link attribution feeds the re-place loop; Feedback's maps make
-		// a per-shot copy too heavy for the tree, so absorption stays linear
-		// (Absorb is commutative, determinism is unaffected).
-		for _, shot := range set.Shots {
-			if shot.Result.Net.Enabled {
-				a.fb.Absorb(shot.Result.Net, shot.Result.RouterUtilization)
-			}
+	for _, shot := range set.Shots {
+		a.net = a.net.merge(digestOf(shot.Result))
+		if a.track {
+			a.fb.Absorb(shot.Result.Net, shot.Result.RouterUtilization)
 		}
 	}
-}
-
-// merge combines two aggregates (sweep jobs fold their per-point
-// aggregates over the reduction tree in setPoints). The receiver's track
-// flag wins; b's feedback is merged in either way.
-func (a congestionAgg) merge(b congestionAgg) congestionAgg {
-	a.net = a.net.merge(b.net)
-	a.fb.Merge(&b.fb)
-	return a
 }
 
 // foldCongestion merges aggregated congestion into the service stats.
@@ -1055,22 +1012,6 @@ func (s *Service) execute(j *job) (set *runner.ShotSet, cacheHit, batched bool, 
 	if want > j.req.Shots {
 		want = j.req.Shots
 	}
-	if j.req.FreshCompile {
-		// Baseline/diagnostic path: private machines, full compiles, no
-		// cache or pool interaction (spec.FreshCompile routes the build
-		// through CompileFresh).
-		machines := make([]*machine.Machine, 0, want)
-		for len(machines) < want {
-			m, _, buildErr := runner.Build(j.spec, nil)
-			if buildErr != nil {
-				return nil, false, false, buildErr
-			}
-			machines = append(machines, m)
-		}
-		j.setMapping(machines[0].Loaded())
-		set, err = runner.RunOn(machines, j.seed, j.req.Shots, j.req.Circuit.NumBits)
-		return set, false, false, err
-	}
 	machines := s.pool.checkout(j.pk, want)
 	batched = len(machines) > 0
 
@@ -1122,16 +1063,9 @@ func (s *Service) execute(j *job) (set *runner.ShotSet, cacheHit, batched bool, 
 // BindParams (per point for sweeps), and run on pooled replicas. Replicas
 // pool under the structural key, so a 1000-point sweep — or 1000 separate
 // single-binding jobs — compiles once and reuses the same warm machines;
-// only the cheap bind+load is per point. FreshCompile keeps its baseline
-// meaning: the circuit is bound up front and every point pays a full
-// compile on private machines.
+// only the cheap bind+load is per point.
 func (s *Service) executeBind(j *job) (set *runner.ShotSet, cacheHit, batched bool, err error) {
 	numBits := j.req.Circuit.NumBits
-	if j.req.FreshCompile {
-		set, err = s.executeBindFresh(j)
-		return set, false, false, err
-	}
-
 	want := s.cfg.ShotWorkers
 	if len(j.req.Sweep) > 0 {
 		// Sweeps fan points (not shots) across replicas; each point's
@@ -1178,7 +1112,7 @@ func (s *Service) executeBind(j *job) (set *runner.ShotSet, cacheHit, batched bo
 		// The observer runs on the runner's worker goroutines: each point
 		// is published to streaming watchers the moment it finishes, while
 		// later points are still executing.
-		pts, runErr := runner.RunSweepOnObserved(machines, skel, j.req.Sweep, j.seed, j.req.Shots, numBits, func(p runner.SweepPoint) {
+		pts, runErr := runner.RunSweepOn(machines, skel, j.req.Sweep, j.seed, j.req.Shots, numBits, func(p runner.SweepPoint) {
 			j.publish(pointStatusOf(p))
 		})
 		s.pool.checkin(j.pk, machines)
@@ -1203,49 +1137,6 @@ func (s *Service) executeBind(j *job) (set *runner.ShotSet, cacheHit, batched bo
 	set, err = runner.RunOn(machines, j.seed, j.req.Shots, numBits)
 	s.pool.checkin(j.pk, machines)
 	return set, cacheHit, batched, err
-}
-
-// executeBindFresh is the FreshCompile baseline of the binding layer:
-// bind the circuit itself, then pay the full compile (and private machine
-// builds) per binding — exactly what a stack without BindParams would do.
-func (s *Service) executeBindFresh(j *job) (*runner.ShotSet, error) {
-	runBound := func(params map[string]float64, seed int64) (*runner.ShotSet, *compiler.Compiled, error) {
-		bc, err := j.req.Circuit.Bind(params)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec := j.spec
-		spec.Circuit = bc
-		spec.Cfg.Seed = seed
-		m, cp, err := runner.Build(spec, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		set, err := runner.RunOn([]*machine.Machine{m}, seed, j.req.Shots, j.req.Circuit.NumBits)
-		return set, cp, err
-	}
-	if len(j.req.Sweep) > 0 {
-		pts := make([]runner.SweepPoint, len(j.req.Sweep))
-		for k, params := range j.req.Sweep {
-			set, cp, err := runBound(params, machine.DeriveSeed(j.seed, k))
-			if err != nil {
-				return nil, fmt.Errorf("sweep point %d: %w", k, err)
-			}
-			if k == 0 {
-				j.setMapping(cp)
-			}
-			pts[k] = runner.SweepPoint{Index: k, Params: params, Set: set}
-			j.publish(pointStatusOf(pts[k]))
-		}
-		j.setPoints(pts)
-		return nil, nil
-	}
-	set, cp, err := runBound(j.req.Params, j.seed)
-	if err != nil {
-		return nil, err
-	}
-	j.setMapping(cp)
-	return set, nil
 }
 
 func (j *job) finish(set *runner.ShotSet, err error) {

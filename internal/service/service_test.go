@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -261,6 +262,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, ok := s.Get("job-999999"); ok {
 		t.Fatal("unknown job ID found")
+	}
+}
+
+// TestOversizedStateVecJobFails: a state-vector job larger than the dense
+// simulator holds fails on its own — it must not take the worker (and the
+// process) down, and the next job on the same service still completes.
+func TestOversizedStateVecJobFails(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	c := ghz(40)
+	cfg := machine.DefaultConfig(c.NumQubits)
+	cfg.Backend = machine.BackendStateVec
+	id, err := s.Submit(Request{Circuit: c, Shots: 1, Cfg: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.Wait(id)
+	if !ok || st.State != StateFailed || !strings.Contains(st.Err, "state-vector") {
+		t.Fatalf("oversized state-vector job: ok=%v state=%s err=%q", ok, st.State, st.Err)
+	}
+	next := ghz(4)
+	id, err = s.Submit(Request{Circuit: next, Shots: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := s.Wait(id); !ok || st.State != StateDone {
+		t.Fatalf("job after the failure: ok=%v state=%s err=%q", ok, st.State, st.Err)
+	}
+	if got := s.Stats(); got.Failed != 1 || got.Completed != 1 {
+		t.Fatalf("stats after failure: failed=%d completed=%d", got.Failed, got.Completed)
 	}
 }
 
